@@ -248,10 +248,12 @@ func (r *run) classify(batch bool) error {
 }
 
 // closedLoop runs maxConns clients back to back for dur and returns
-// the vectors classified per second and the request count.
+// the vectors classified per second, the median over rateWindow
+// windows, and the request count.
 func (r *run) closedLoop(d *daemon, in *classifyInputs, dur time.Duration) (float64, int) {
-	var next, ok atomic.Int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	done := make([][]time.Duration, maxConns)
 	start := time.Now()
 	stop := start.Add(dur)
 	for c := 0; c < maxConns; c++ {
@@ -265,13 +267,16 @@ func (r *run) closedLoop(d *daemon, in *classifyInputs, dur time.Duration) (floa
 					r.fail("closed loop: %v", err)
 					continue
 				}
-				ok.Add(1)
+				done[c] = append(done[c], time.Since(start))
 			}
 		}()
 	}
 	wg.Wait()
-	vectors := float64(ok.Load()) * float64(in.per)
-	return vectors / time.Since(start).Seconds(), int(ok.Load())
+	var all []time.Duration
+	for _, ds := range done {
+		all = append(all, ds...)
+	}
+	return median(windowRates(all, dur, rateWindow)) * float64(in.per), len(all)
 }
 
 // openLoop sends requests on a fixed schedule at rate per second for

@@ -319,6 +319,7 @@ func (r *run) compileCold() error {
 	}
 	defer d.kill()
 	var sweeps []time.Duration
+	var rates []float64
 	var jobs []*jobRun
 	for s := 0; s < coldSweeps(r.seconds); s++ {
 		done, elapsed, err := r.runJobs(d, compileMix(r.seed, s))
@@ -326,6 +327,7 @@ func (r *run) compileCold() error {
 			return err
 		}
 		sweeps = append(sweeps, elapsed)
+		rates = append(rates, float64(len(done))/elapsed.Seconds())
 		jobs = append(jobs, done...)
 		for _, j := range done {
 			if j.final.CacheHit {
@@ -333,12 +335,8 @@ func (r *run) compileCold() error {
 			}
 		}
 	}
-	var total time.Duration
-	for _, s := range sweeps {
-		total += s
-	}
 	lat := secs(jobLatencies(jobs))
-	r.set("ops_per_s", float64(len(jobs))/total.Seconds(), "1/s", len(jobs), "jobs per second of sweep")
+	r.set("ops_per_s", median(rates), "1/s", len(jobs), fmt.Sprintf("jobs per second of sweep, median of %d sweeps", len(rates)))
 	r.setQ("sweep_s", percentile(secs(sweeps), 50), "s")
 	r.setQ("job_p50_ms", percentile(lat, 50), "ms")
 	r.set("service.cache_hit_frac", 0, "fraction", len(jobs), "")
@@ -398,8 +396,8 @@ func (r *run) compileWarm() error {
 		for _, j := range cold {
 			want[j.spec.Name] = j.status
 		}
-		hits, elapsed := r.resubmit(d, specs, n)
-		ok := 0
+		hits, start, elapsed := r.resubmit(d, specs, n)
+		var done []time.Duration
 		for i, j := range hits {
 			if j == nil {
 				continue
@@ -413,7 +411,7 @@ func (r *run) compileWarm() error {
 					i, j.spec.Name, j.status.State, j.final.CacheHit)
 				continue
 			}
-			ok++
+			done = append(done, j.terminal.Sub(start))
 			lat = append(lat, j.latency().Seconds())
 			root := r.tr.add("resubmit", j.id, j.submit, j.terminal, -1)
 			if root >= 0 {
@@ -421,11 +419,11 @@ func (r *run) compileWarm() error {
 				r.tr.add("service.hit", j.id, j.accepted, j.terminal, root)
 			}
 		}
-		rates = append(rates, float64(ok)/elapsed.Seconds())
+		rates = append(rates, windowRates(done, elapsed, rateWindow)...)
 	}
 	r.setQ("setup_s", percentile(secs(setupTimes), 50), "s")
 	rate := percentile(rates, 50)
-	r.set("ops_per_s", rate.Value, "1/s", len(lat), fmt.Sprintf("cache-hit resubmits per second, median of %d rounds of %d", setups, n))
+	r.set("ops_per_s", rate.Value, "1/s", len(lat), fmt.Sprintf("cache-hit resubmits per second, median of %d windows over %d rounds of %d", len(rates), setups, n))
 	r.set("resubmit_per_s", rate.Value, "1/s", len(lat), "")
 	r.setQ("resubmit_p50_us", percentile(lat, 50), "us")
 	r.setQ("resubmit_p99_us", tail(lat), "us")
@@ -439,8 +437,9 @@ func (r *run) compileWarm() error {
 }
 
 // resubmit sends n submissions of specs round-robin from maxConns
-// closed-loop clients, each followed to its terminal state.
-func (r *run) resubmit(d *daemon, specs []spec, n int) ([]*jobRun, time.Duration) {
+// closed-loop clients, each followed to its terminal state, and returns
+// them with the loop's start and duration.
+func (r *run) resubmit(d *daemon, specs []spec, n int) ([]*jobRun, time.Time, time.Duration) {
 	hits := make([]*jobRun, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -468,7 +467,7 @@ func (r *run) resubmit(d *daemon, specs []spec, n int) ([]*jobRun, time.Duration
 	}
 	wg.Wait()
 	r.attempt(n)
-	return hits, time.Since(start)
+	return hits, start, time.Since(start)
 }
 
 // sameArtifact reports whether a warm hit returned the cold compile's

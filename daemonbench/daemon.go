@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -34,6 +35,27 @@ func newClient() *http.Client {
 		MaxIdleConnsPerHost: maxConns,
 		DisableCompression:  true,
 	}}
+}
+
+// live holds every daemon started and not yet waited for, so that
+// killAll can end them on any way out of the benchmark.
+var live = struct {
+	sync.Mutex
+	m map[*os.Process]chan struct{}
+}{m: map[*os.Process]chan struct{}{}}
+
+// killAll kills every live daemon and waits for each to exit.
+func killAll() {
+	live.Lock()
+	procs := make(map[*os.Process]chan struct{}, len(live.m))
+	for p, exited := range live.m {
+		procs[p] = exited
+	}
+	live.Unlock()
+	for p, exited := range procs {
+		_ = p.Kill()
+		<-exited
+	}
 }
 
 type daemon struct {
@@ -80,7 +102,17 @@ func startDaemon(bin, stateDir string, client *http.Client, requireOK bool) (*da
 		return nil, 0, fmt.Errorf("start %s: %w", bin, err)
 	}
 	d.exited = make(chan struct{})
-	go func() { _ = d.cmd.Wait(); close(d.exited) }()
+	cmd, proc := d.cmd, d.cmd.Process
+	live.Lock()
+	live.m[proc] = d.exited
+	live.Unlock()
+	go func() {
+		_ = cmd.Wait()
+		live.Lock()
+		delete(live.m, proc)
+		live.Unlock()
+		close(d.exited)
+	}()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var h httpapi.HealthJSON

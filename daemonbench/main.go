@@ -16,10 +16,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"syscall"
 
 	"repro/internal/httpapi"
 )
@@ -35,6 +37,15 @@ func main() {
 	workDir := flag.String("work", ".bench_build/work", "scratch directory for state dirs, logs and spans")
 	flag.Parse()
 
+	// A signal ends the benchmark without a result, after its daemons.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	go func() {
+		s := <-sigs
+		fmt.Fprintf(os.Stderr, "daemonbench: %v\n", s)
+		exit(1)
+	}()
+
 	httpapi.RegisterBuiltinLoaders()
 	// The load generator runs on one P: its clients mostly wait on the
 	// network, and a second P would only contend with the daemon for the
@@ -44,13 +55,13 @@ func main() {
 	if *workload != "all" {
 		if !contains(workloads, *workload) {
 			fmt.Fprintf(os.Stderr, "daemonbench: unknown workload %q (have %s)\n", *workload, strings.Join(workloads, ", "))
-			os.Exit(2)
+			exit(2)
 		}
 		names = []string{*workload}
 	}
 	if _, err := os.Stat(*daemonBin); err != nil {
 		fmt.Fprintf(os.Stderr, "daemonbench: daemon binary: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	type result struct {
@@ -67,7 +78,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "daemonbench: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		r := newRun(name, *seed, *seconds, *trace == 1, *daemonBin, dir)
 		r.execute()
@@ -107,12 +118,19 @@ func main() {
 	raw, err := json.Marshal(total)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "daemonbench: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
+	killAll()
 	fmt.Println(string(raw))
 	if !total.Correct {
-		os.Exit(1)
+		exit(1)
 	}
+}
+
+// exit ends the benchmark after killing and reaping its daemons.
+func exit(code int) {
+	killAll()
+	os.Exit(code)
 }
 
 func contains(xs []string, x string) bool {

@@ -45,7 +45,9 @@ func (r *run) finish(d *daemon) error {
 		return err
 	}
 	var times []float64
+	phase := time.Now()
 	for i := 0; i < restarts; i++ {
+		sleepUntil(phase.Add(time.Duration(i) * restartGap))
 		dir := d.stateDir
 		if i > 0 {
 			dir = r.stateDir(fmt.Sprintf("restart-%d", i))

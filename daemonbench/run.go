@@ -43,11 +43,16 @@ type metric struct {
 
 // setups is how many times a run sets its workload up from scratch;
 // setup_s is the median.
-const setups = 5
+const setups = 9
 
 // restarts is how many times a run restarts the daemon on (a copy of)
-// its final state dir; restart_s is the median.
-const restarts = 15
+// its final state dir; restart_s is the median. Restart i starts no
+// earlier than i×restartGap into the phase, so the samples span
+// seconds of host load rather than a fraction of one.
+const (
+	restarts   = 21
+	restartGap = 150 * time.Millisecond
+)
 
 type run struct {
 	workload  string

@@ -63,6 +63,31 @@ func tail(xs []float64) quantile {
 
 func median(xs []float64) float64 { return percentile(xs, 50).Value }
 
+// rateWindow is the width of the windows a throughput is taken over.
+const rateWindow = 250 * time.Millisecond
+
+// windowRates splits the completions of a phase into span/w runs of
+// consecutive completions, equal in count, and returns each run's
+// completions per second; done holds each completion's offset from the
+// phase's start. A throughput is the median of these, so a burst of
+// host load that stalls one window moves it less than it moves the
+// phase's mean.
+func windowRates(done []time.Duration, span, w time.Duration) []float64 {
+	s := append([]time.Duration(nil), done...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	n := min(max(int(span/w), 1), len(s))
+	var rates []float64
+	var from time.Duration
+	for i := 0; i < n; i++ {
+		lo, hi := i*len(s)/n, (i+1)*len(s)/n
+		if d := s[hi-1] - from; d > 0 {
+			rates = append(rates, float64(hi-lo)/d.Seconds())
+		}
+		from = s[hi-1]
+	}
+	return rates
+}
+
 func sorted(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)

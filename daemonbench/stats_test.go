@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -54,6 +55,33 @@ func TestTailNeedsTenSamplesBeyond(t *testing.T) {
 		if q.Value != float64(c.n-q.Beyond) {
 			t.Errorf("tail of %d samples: value %g is not the rank-%d order statistic", c.n, q.Value, c.n-q.Beyond)
 		}
+	}
+}
+
+func TestWindowRatesSplitCompletionsEvenly(t *testing.T) {
+	// 10 completions/s for 2 s, then 40/s for 1 s: three 1 s windows.
+	var done []time.Duration
+	for i := 1; i <= 20; i++ {
+		done = append(done, time.Duration(i)*100*time.Millisecond)
+	}
+	for i := 1; i <= 40; i++ {
+		done = append(done, 2*time.Second+time.Duration(i)*25*time.Millisecond)
+	}
+	rates := windowRates(done, 3*time.Second, time.Second)
+	want := []float64{10, 40, 40}
+	if len(rates) != len(want) {
+		t.Fatalf("rates %v, want %v", rates, want)
+	}
+	for i := range want {
+		if math.Abs(rates[i]-want[i]) > 1e-9 {
+			t.Fatalf("rates %v, want %v", rates, want)
+		}
+	}
+	if got := median(rates); got != 40 {
+		t.Fatalf("median %v, want 40", got)
+	}
+	if got := windowRates(nil, time.Second, time.Second); len(got) != 0 {
+		t.Fatalf("no completions gave %v", got)
 	}
 }
 
