@@ -22,6 +22,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dtree"
 	"repro/internal/experiments"
 	"repro/internal/fixed"
 	"repro/internal/ir"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/rf"
 	"repro/internal/synth/botnet"
+	"repro/internal/synth/iottc"
 	"repro/internal/synth/nslkdd"
 	"repro/internal/taurus"
 	"repro/internal/tune"
@@ -388,6 +390,25 @@ func BenchmarkNNTrainEpoch(b *testing.B) {
 		}
 		net, _ := nn.New(nc)
 		if _, err := net.Train(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDTreeTrain fits one CART tree on the iottc catalog train split
+// at depth 8, minleaf 1 — the most expensive point of the BO grid the
+// DTree family searches. Each op is a full dtree.Train, presort included;
+// a search presorts once and pays only the tree growth per trial.
+func BenchmarkDTreeTrain(b *testing.B) {
+	train, _, err := iottc.TrainTest(iottc.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := dtree.Config{MaxDepth: 8, MinLeaf: 1, Classes: train.Classes()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dtree.Train(c, train); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -283,12 +283,12 @@ func (s *Service) SubmitRemote(ctx context.Context, p *alchemy.Platform, opts ..
 	if s.store != nil {
 		j.onFinish = s.journalFinish
 	}
+	s.recordSubmission(j, &clone, &o)
 	s.mu.Lock()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.pruneLocked()
 	s.mu.Unlock()
-	s.recordSubmission(j, &clone, &o)
 	return &RemoteJob{svc: s, job: j, p: &clone, o: o}, nil
 }
 

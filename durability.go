@@ -288,10 +288,11 @@ func (s *Service) recover(dir string, fs store.FS) error {
 	s.recovery.JournalSkipped = skipped
 
 	// Reduce the journal to one trace per job: its admission record and
-	// its latest operation.
+	// its terminal operation, if any. A job observed terminal stays
+	// terminal, whatever record follows.
 	type jobTrace struct {
 		submitted *store.Record
-		lastOp    string
+		terminal  string
 		specHash  string
 	}
 	traces := map[string]*jobTrace{}
@@ -305,10 +306,16 @@ func (s *Service) recover(dir string, fs store.FS) error {
 			traces[r.Job] = t
 			order = append(order, r.Job)
 		}
-		if r.Op == store.OpSubmitted && t.submitted == nil {
-			t.submitted = r
+		switch r.Op {
+		case store.OpSubmitted:
+			if t.submitted == nil {
+				t.submitted = r
+			}
+		case store.OpDone, store.OpFailed, store.OpCancelled:
+			if t.terminal == "" {
+				t.terminal = r.Op
+			}
 		}
-		t.lastOp = r.Op
 		if r.SpecHash != "" {
 			t.specHash = r.SpecHash
 		}
@@ -331,7 +338,7 @@ func (s *Service) recover(dir string, fs store.FS) error {
 	var keep []store.Record
 	for _, id := range order {
 		t := traces[id]
-		switch t.lastOp {
+		switch t.terminal {
 		case store.OpDone:
 			if t.specHash != "" && st.Artifacts.Has(t.specHash) {
 				s.recovery.JobsRecovered = append(s.recovery.JobsRecovered, id)

@@ -10,8 +10,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -375,5 +377,198 @@ func TestDurableCorruptArtifactRecompiles(t *testing.T) {
 			t.Fatal("clean artifact was not rewritten after recompilation")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// journalByJob reads the journal in dir and groups its operations by job,
+// in file order.
+func journalByJob(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string][]string{}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec store.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		ops[rec.Job] = append(ops[rec.Job], rec.Op)
+	}
+	return ops
+}
+
+// checkSubmittedFirst fails unless every job's first journal record is
+// its submitted record, and that record is its only one.
+func checkSubmittedFirst(t *testing.T, ops map[string][]string) {
+	t.Helper()
+	for job, seq := range ops {
+		n := 0
+		for _, op := range seq {
+			if op == store.OpSubmitted {
+				n++
+			}
+		}
+		if seq[0] != store.OpSubmitted || n != 1 {
+			t.Errorf("job %s journaled %v: want one submitted record, first", job, seq)
+		}
+	}
+}
+
+// TestDurableCacheHitsJournalInOrder resubmits a cached spec from two
+// closed-loop clients, so hits finish as fast as the service can turn
+// them around, then restarts: no finished job may come back as
+// interrupted.
+func TestDurableCacheHitsJournalInOrder(t *testing.T) {
+	dir := t.TempDir()
+	svc := mustOpen(t, dir, nil)
+	runJob(t, svc) // the cold compile every resubmission hits
+	p := durablePlatform(t)
+	const clients, perClient = 2, 150
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				job, err := svc.Submit(context.Background(), p, WithSearchConfig(fastConfig()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := job.Wait(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+				if !job.Status().CacheHit {
+					t.Errorf("resubmission %s was not a cache hit", job.ID())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := journalByJob(t, dir)
+	if len(ops) != 1+clients*perClient {
+		t.Fatalf("journal names %d jobs, want %d", len(ops), 1+clients*perClient)
+	}
+	checkSubmittedFirst(t, ops)
+
+	svc2 := mustOpen(t, dir, nil)
+	defer svc2.Close()
+	rep := svc2.Recovery()
+	if len(rep.JobsRequeued) != 0 || len(rep.JobsSkipped) != 0 {
+		t.Fatalf("finished jobs replayed as interrupted: %d requeued, %d skipped",
+			len(rep.JobsRequeued), len(rep.JobsSkipped))
+	}
+	if svc2.StoreErrors() != 0 {
+		t.Fatalf("restart absorbed %d store errors", svc2.StoreErrors())
+	}
+}
+
+// TestDurableRejectedSubmissionJournalsFailed fills the admission queue:
+// the rejected submission's journaled admission must be closed by a
+// failed record, so recovery does not take it for interrupted.
+func TestDurableRejectedSubmissionJournalsFailed(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := Open(ServiceOptions{MaxInFlight: 1, QueueDepth: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, started := make(chan struct{}), make(chan struct{})
+	hold := alchemy.NewModel(alchemy.ModelSpec{
+		Name: "hold", Algorithms: []string{"dtree"}, DataLoader: blockingLoader(40, started, release)})
+	held := alchemy.Taurus()
+	held.Schedule(hold)
+	running, err := svc.Submit(context.Background(), held, WithSearchConfig(fastConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := svc.Submit(context.Background(), durablePlatform(t), WithSearchConfig(fastConfig()))
+	if err != nil {
+		t.Fatalf("backlog submission must be admitted: %v", err)
+	}
+	if _, err := svc.Submit(context.Background(), durablePlatform(t), WithSearchConfig(fastConfig())); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-depth submission = %v, want ErrQueueFull", err)
+	}
+	close(release)
+	for _, j := range []*Job{running, queued} {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := journalByJob(t, dir)
+	checkSubmittedFirst(t, ops)
+	rejected := 0
+	for job, seq := range ops {
+		if job != running.ID() && job != queued.ID() {
+			rejected++
+			if len(seq) != 2 || seq[1] != store.OpFailed {
+				t.Errorf("rejected job %s journaled %v, want [submitted failed]", job, seq)
+			}
+		}
+	}
+	if rejected != 1 {
+		t.Fatalf("journal names %d rejected jobs, want 1: %v", rejected, ops)
+	}
+
+	svc2 := mustOpen(t, dir, nil)
+	defer svc2.Close()
+	if rep := svc2.Recovery(); len(rep.JobsRequeued) != 0 || len(rep.JobsSkipped) != 0 {
+		t.Fatalf("recovery replayed terminal jobs: %+v", rep)
+	}
+	if svc2.StoreErrors() != 0 {
+		t.Fatalf("restart absorbed %d store errors", svc2.StoreErrors())
+	}
+}
+
+// TestDurableTerminalRecordIsFinal replays a journal written before
+// admissions were journaled first, where a fast job's done record lands
+// ahead of its submitted record: a job observed terminal stays terminal.
+func TestDurableTerminalRecordIsFinal(t *testing.T) {
+	dir := t.TempDir()
+	st, _, _, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := alchemy.MarshalPlatform(durablePlatform(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	search, err := marshalSearchConfig(fastConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []store.Record{
+		{Op: store.OpRunning, Job: "job-000003"},
+		{Op: store.OpDone, Job: "job-000003", SpecHash: "0123"},
+		{Op: store.OpSubmitted, Job: "job-000003", Platform: "taurus", Spec: spec, Search: search},
+		{Op: store.OpFailed, Job: "job-000004", Error: "boom"},
+		{Op: store.OpSubmitted, Job: "job-000004", Platform: "taurus", Spec: spec, Search: search},
+	} {
+		if err := st.Journal.Append(rec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc := mustOpen(t, dir, nil)
+	defer svc.Close()
+	if rep := svc.Recovery(); len(rep.JobsRequeued) != 0 || len(rep.JobsSkipped) != 0 {
+		t.Fatalf("terminal jobs replayed as interrupted: %+v", rep)
+	}
+	if svc.StoreErrors() != 0 {
+		t.Fatalf("recovery absorbed %d store errors", svc.StoreErrors())
 	}
 }

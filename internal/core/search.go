@@ -451,9 +451,23 @@ func familySpace(app App, cfg SearchConfig, kind ir.Kind) (bo.Space, builder) {
 			{Name: "depth", Kind: bo.Integer, Min: 1, Max: 8},
 			{Name: "minleaf", Kind: bo.Integer, Min: 1, Max: 16},
 		}}
+		// Every trial of one search trains on the same set, so its feature
+		// columns are sorted once, on the first trial, and shared read-only
+		// by the rest (concurrent trials each partition a private copy).
+		var (
+			presortMu sync.Mutex
+			sortedFor *dataset.Dataset
+			presorted *dtree.Presorted
+		)
 		return space, func(x []float64, train *dataset.Dataset, seed int64) (*ir.Model, error) {
+			presortMu.Lock()
+			if sortedFor != train {
+				sortedFor, presorted = train, dtree.Presort(train)
+			}
+			p := presorted
+			presortMu.Unlock()
 			dc := dtree.Config{MaxDepth: int(x[0]), MinLeaf: int(x[1]), Classes: classes}
-			m, err := dtree.Train(dc, train)
+			m, err := p.Train(dc)
 			if err != nil {
 				return nil, err
 			}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/dataset"
+	"repro/internal/dtree"
 	"repro/internal/ir"
 )
 
@@ -288,5 +290,47 @@ func TestScoreModelMetrics(t *testing.T) {
 	}
 	if res.Best == nil || res.Best.Metric < 0.8 {
 		t.Fatal("accuracy objective must work")
+	}
+}
+
+// TestDTreeBuilderSharesPresort drives the DTree family's builder from
+// concurrent trials, as BO does, and across two training sets: every model
+// must equal the one dtree.Train fits from scratch. Run it under -race.
+func TestDTreeBuilderSharesPresort(t *testing.T) {
+	app := smallApp(t, 11)
+	_, build := familySpace(app, fastSearchConfig(), ir.DTree)
+	other := smallApp(t, 12).Train
+	encode := func(m *ir.Model) string {
+		var b strings.Builder
+		if err := m.WriteJSON(&b); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	for _, train := range []*dataset.Dataset{app.Train, other, app.Train} {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for depth := 1 + w; depth <= 8; depth += 4 {
+					x := []float64{float64(depth), float64(1 + 3*w)}
+					got, err := build(x, train, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					m, err := dtree.Train(dtree.Config{MaxDepth: depth, MinLeaf: 1 + 3*w, Classes: 2}, train)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if encode(got) != encode(ir.FromDTree(app.Name, m, train.Features(), fastSearchConfig().Format)) {
+						t.Errorf("depth %d minleaf %d: shared-presort model differs from a fresh Train", depth, 1+3*w)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

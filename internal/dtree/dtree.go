@@ -7,7 +7,7 @@ package dtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -51,54 +51,167 @@ type Model struct {
 	Root   *Node
 }
 
-// Train fits a CART tree with Gini-impurity splits.
+// Train fits a CART tree with Gini-impurity splits. It presorts d and
+// discards the presort; a caller training many trees on one dataset
+// presorts once and calls Presorted.Train instead.
 func Train(c Config, d *dataset.Dataset) (*Model, error) {
+	return Presort(d).Train(c)
+}
+
+// Presorted is a training set with every feature column sorted once
+// (SLIQ-style presorting): a column-major copy of the features plus, per
+// feature, the sample indices in ascending value order. Tree growth then
+// never sorts again — each split stably partitions every feature's order
+// into the children's contiguous ranges, so a tree level costs
+// O(features · n) instead of O(features · n log n) per node.
+//
+// A Presorted is read-only after Presort returns; any number of
+// goroutines may Train from it concurrently.
+type Presorted struct {
+	n, features int
+	cols        []float64 // cols[f*n+i] = feature f of sample i
+	order       []int32   // order[f*n:(f+1)*n] = samples ascending by feature f
+	y           []int
+}
+
+// Presort sorts every feature column of d once. The result aliases d.Y,
+// so d must not change while the Presorted is in use.
+func Presort(d *dataset.Dataset) *Presorted {
+	n, nf := d.Len(), d.Features()
+	p := &Presorted{
+		n: n, features: nf,
+		cols:  make([]float64, nf*n),
+		order: make([]int32, nf*n),
+		y:     d.Y,
+	}
+	for i := 0; i < n; i++ {
+		for f, v := range d.X.Row(i) {
+			p.cols[f*n+i] = v
+		}
+	}
+	type entry struct {
+		v float64
+		i int32
+	}
+	sorted := make([]entry, n)
+	for f := 0; f < nf; f++ {
+		for i, v := range p.cols[f*n : (f+1)*n] {
+			sorted[i] = entry{v, int32(i)}
+		}
+		slices.SortFunc(sorted, func(a, b entry) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return 0
+		})
+		for k, e := range sorted {
+			p.order[f*n+k] = e.i
+		}
+	}
+	return p
+}
+
+// Train fits a CART tree on the presorted set; the tree is identical to
+// the one Train(c, d) fits on the dataset p was built from.
+func (p *Presorted) Train(c Config) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if d.Len() == 0 {
+	if p.n == 0 {
 		return nil, fmt.Errorf("dtree: empty training set")
 	}
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
+	g := &grower{
+		c: c, n: p.n, features: p.features, cols: p.cols, y: p.y,
+		order:    slices.Clone(p.order),
+		spill:    make([]int32, p.n),
+		goesLeft: make([]bool, p.n),
+		left:     make([]int, c.Classes),
+		right:    make([]int, c.Classes),
 	}
-	root := build(c, d, idx, 0)
-	return &Model{Config: c, Root: root}, nil
-}
-
-func build(c Config, d *dataset.Dataset, idx []int, depth int) *Node {
-	node := &Node{Feature: -1, Samples: len(idx)}
 	counts := make([]int, c.Classes)
-	for _, i := range idx {
-		if d.Y[i] < c.Classes {
-			counts[d.Y[i]]++
+	for _, y := range p.y {
+		if y < c.Classes {
+			counts[y]++
 		}
 	}
-	node.Class = argMaxInt(counts)
-	if depth >= c.MaxDepth || len(idx) < 2*c.MinLeaf || pure(counts) {
+	return &Model{Config: c, Root: g.build(0, p.n, counts, 0)}, nil
+}
+
+// grower is one Train call's state: the shared presorted columns and
+// labels, its own copy of the orders (partitioned in place as the tree
+// grows) and scratch buffers. Every node owns the range [lo, hi) of each
+// feature's order, holding its samples ascending by that feature.
+type grower struct {
+	c           Config
+	n, features int
+	cols        []float64
+	y           []int
+	order       []int32
+	spill       []int32 // right-hand samples during a partition
+	goesLeft    []bool  // by sample index, for the split being applied
+	left, right []int   // class counts either side of a candidate split
+}
+
+// build grows the subtree over the samples in [lo, hi); counts holds their
+// class counts.
+func (g *grower) build(lo, hi int, counts []int, depth int) *Node {
+	c := g.c
+	node := &Node{Feature: -1, Samples: hi - lo, Class: argMaxInt(counts)}
+	if depth >= c.MaxDepth || hi-lo < 2*c.MinLeaf || pure(counts) {
 		return node
 	}
-	feat, thresh, gain := bestSplit(c, d, idx, counts)
+	feat, thresh, gain := g.bestSplit(lo, hi, counts)
 	if gain <= 1e-12 {
 		return node
 	}
-	var left, right []int
-	for _, i := range idx {
-		if d.X.At(i, feat) <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	leftCounts := make([]int, c.Classes)
+	nl := 0
+	col := g.cols[feat*g.n : (feat+1)*g.n]
+	for _, i := range g.order[feat*g.n+lo : feat*g.n+hi] {
+		left := col[i] <= thresh
+		g.goesLeft[i] = left
+		if left {
+			nl++
+			if y := g.y[i]; y < c.Classes {
+				leftCounts[y]++
+			}
 		}
 	}
-	if len(left) < c.MinLeaf || len(right) < c.MinLeaf {
+	if nl < c.MinLeaf || hi-lo-nl < c.MinLeaf {
 		return node
+	}
+	g.partition(lo, hi)
+	rightCounts := make([]int, c.Classes)
+	for k := range rightCounts {
+		rightCounts[k] = counts[k] - leftCounts[k]
 	}
 	node.Feature = feat
 	node.Threshold = thresh
-	node.Left = build(c, d, left, depth+1)
-	node.Right = build(c, d, right, depth+1)
+	node.Left = g.build(lo, lo+nl, leftCounts, depth+1)
+	node.Right = g.build(lo+nl, hi, rightCounts, depth+1)
 	return node
+}
+
+// partition stably splits every feature's [lo, hi) range by goesLeft:
+// left samples first, right samples after, each still ascending.
+func (g *grower) partition(lo, hi int) {
+	for f := 0; f < g.features; f++ {
+		seg := g.order[f*g.n+lo : f*g.n+hi]
+		nl, nr := 0, 0
+		for _, i := range seg {
+			if g.goesLeft[i] {
+				seg[nl] = i
+				nl++
+			} else {
+				g.spill[nr] = i
+				nr++
+			}
+		}
+		copy(seg[nl:], g.spill[:nr])
+	}
 }
 
 func pure(counts []int) bool {
@@ -133,36 +246,37 @@ func gini(counts []int, total int) float64 {
 	return g
 }
 
-// bestSplit scans every feature with a sorted sweep, maintaining class
-// counts on each side incrementally (O(features · n log n)).
-func bestSplit(c Config, d *dataset.Dataset, idx []int, parentCounts []int) (feat int, thresh, gain float64) {
-	n := len(idx)
+// bestSplit sweeps every feature's presorted range once, maintaining
+// class counts on each side incrementally (O(features · n) per node).
+// Candidate thresholds lie only between distinct adjacent values, where
+// the side counts do not depend on how ties are ordered.
+func (g *grower) bestSplit(lo, hi int, parentCounts []int) (feat int, thresh, gain float64) {
+	n := hi - lo
 	parentGini := gini(parentCounts, n)
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
 
-	order := make([]int, n)
-	for f := 0; f < d.Features(); f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return d.X.At(order[a], f) < d.X.At(order[b], f) })
-		leftCounts := make([]int, c.Classes)
-		rightCounts := append([]int{}, parentCounts...)
+	for f := 0; f < g.features; f++ {
+		col := g.cols[f*g.n : (f+1)*g.n]
+		order := g.order[f*g.n+lo : f*g.n+hi]
+		clear(g.left)
+		copy(g.right, parentCounts)
 		for pos := 0; pos < n-1; pos++ {
-			y := d.Y[order[pos]]
-			if y < c.Classes {
-				leftCounts[y]++
-				rightCounts[y]--
+			y := g.y[order[pos]]
+			if y < g.c.Classes {
+				g.left[y]++
+				g.right[y]--
 			}
-			v, next := d.X.At(order[pos], f), d.X.At(order[pos+1], f)
+			v, next := col[order[pos]], col[order[pos+1]]
 			if v == next {
 				continue // can't split between equal values
 			}
 			nl, nr := pos+1, n-pos-1
-			g := parentGini -
-				(float64(nl)/float64(n))*gini(leftCounts, nl) -
-				(float64(nr)/float64(n))*gini(rightCounts, nr)
-			if g > bestGain {
-				bestGain = g
+			cand := parentGini -
+				(float64(nl)/float64(n))*gini(g.left, nl) -
+				(float64(nr)/float64(n))*gini(g.right, nr)
+			if cand > bestGain {
+				bestGain = cand
 				bestFeat = f
 				bestThresh = (v + next) / 2
 			}

@@ -213,6 +213,10 @@ func (s *Service) Submit(ctx context.Context, p *alchemy.Platform, opts ...Optio
 		// transition, including the queue's drop callback below.
 		j.onFinish = s.journalFinish
 	}
+	// Journal the admission before the job can dispatch: a cache hit can
+	// finish it before Submit returns, and its submitted record must
+	// precede every other record of the job.
+	s.recordSubmission(j, &clone, &o)
 	ticket, err := s.queue.Submit(
 		func() { s.run(jctx, j, &clone, &o) },
 		func(error) {
@@ -223,10 +227,13 @@ func (s *Service) Submit(ctx context.Context, p *alchemy.Platform, opts ...Optio
 		cancel()
 		switch {
 		case errors.Is(err, jobqueue.ErrClosed):
-			return nil, ErrServiceClosed
+			err = ErrServiceClosed
 		case errors.Is(err, jobqueue.ErrFull):
-			return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
+			err = fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
 		}
+		// Close the journaled admission, or recovery would take the
+		// rejected job for an interrupted one.
+		s.journal(store.Record{Op: store.OpFailed, Job: id, Error: err.Error()}, false)
 		return nil, err
 	}
 	j.mu.Lock()
@@ -238,7 +245,6 @@ func (s *Service) Submit(ctx context.Context, p *alchemy.Platform, opts ...Optio
 	s.order = append(s.order, id)
 	s.pruneLocked()
 	s.mu.Unlock()
-	s.recordSubmission(j, &clone, &o)
 	return j, nil
 }
 
