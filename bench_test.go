@@ -606,9 +606,9 @@ func BenchmarkServeClassify(b *testing.B) {
 	m := ir.FromNN("ad", net, fixed.Q8_8)
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(
+	ep, err := svc.CreateEndpointPipeline("bench",
 		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "ad", Algorithm: "dnn", Model: m}}},
-		DeployOptions{Shards: 1, BatchSize: 32, MaxDelay: -1},
+		EndpointOptions{Shards: 1, BatchSize: 32, MaxDelay: -1},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -622,7 +622,7 @@ func BenchmarkServeClassify(b *testing.B) {
 		}
 	}
 	for i := 0; i < 256; i++ { // warm the pools
-		if _, err := dep.Classify(rows[i%len(rows)]); err != nil {
+		if _, err := ep.Classify(rows[i%len(rows)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -631,7 +631,7 @@ func BenchmarkServeClassify(b *testing.B) {
 	if !testing.Short() {
 		// The serve-path allocation budget: 0 allocs/op steady state.
 		steady = testing.AllocsPerRun(200, func() {
-			if _, err := dep.Classify(rows[0]); err != nil {
+			if _, err := ep.Classify(rows[0]); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -641,7 +641,7 @@ func BenchmarkServeClassify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dep.Classify(rows[i%len(rows)]); err != nil {
+		if _, err := ep.Classify(rows[i%len(rows)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -649,7 +649,7 @@ func BenchmarkServeClassify(b *testing.B) {
 	// Metrics must be reported after ResetTimer (which clears them) —
 	// CI's bench-compare job reads steady_allocs from the snapshot.
 	b.ReportMetric(steady, "steady_allocs")
-	st := dep.Stats()
+	st := ep.Stats().Merged
 	b.ReportMetric(st.MeanBatch, "mean_batch")
 }
 
@@ -709,7 +709,7 @@ func BenchmarkEndpointClassifyCanary(b *testing.B) {
 }
 
 // BenchmarkServeClassifyConcurrent measures batched serving throughput
-// under parallel load: GOMAXPROCS clients hammer one deployment, so the
+// under parallel load: GOMAXPROCS clients hammer one endpoint, so the
 // micro-batcher actually forms multi-request batches and the shards
 // split them.
 func BenchmarkServeClassifyConcurrent(b *testing.B) {
@@ -725,9 +725,9 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 	m := ir.FromNN("ad", net, fixed.Q8_8)
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(
+	ep, err := svc.CreateEndpointPipeline("bench",
 		&Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "ad", Algorithm: "dnn", Model: m}}},
-		DeployOptions{BatchSize: 32, MaxDelay: -1},
+		EndpointOptions{BatchSize: 32, MaxDelay: -1},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -743,7 +743,7 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 	)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := dep.Classify(x); err != nil {
+			if _, err := ep.Classify(x); err != nil {
 				errOnce.Do(func() { classifyErr = err })
 				return
 			}
@@ -753,7 +753,7 @@ func BenchmarkServeClassifyConcurrent(b *testing.B) {
 	if classifyErr != nil {
 		b.Fatal(classifyErr)
 	}
-	st := dep.Stats()
+	st := ep.Stats().Merged
 	b.ReportMetric(st.MeanBatch, "mean_batch")
 	b.ReportMetric(float64(st.Dropped), "dropped")
 }

@@ -754,18 +754,18 @@ func addResult(agg *serve.ReplayResult, res serve.ReplayResult) {
 // segment identically. Reset by runReplay.
 var burstRate float64
 
-// replaySegment issues one replay leg: the closed-loop ReplayRun by
-// default, or — under -burst — the open-loop ReplayBurst, paced at a mean
-// rate calibrated once per run.
+// replaySegment issues one replay leg: closed loop by default, or —
+// under -burst — open loop, paced at a mean rate calibrated once per run.
 func replaySegment(ctx context.Context, c serve.Classifier, xs [][]float64, labels []int, clients int, record []int) (serve.ReplayResult, error) {
-	if !replayCfg.burst {
-		return serve.ReplayRun(ctx, c, xs, labels, clients, record)
+	opts := serve.ReplayOptions{Labels: labels, Clients: clients, Record: record}
+	if replayCfg.burst {
+		if burstRate == 0 {
+			burstRate = calibrateBurstRate(c, xs)
+			fmt.Printf("burst: calibrated mean offered load %.0f req/s (spikes at 100×)\n", burstRate)
+		}
+		opts.Burst = &serve.BurstOptions{MeanRate: burstRate}
 	}
-	if burstRate == 0 {
-		burstRate = calibrateBurstRate(c, xs)
-		fmt.Printf("burst: calibrated mean offered load %.0f req/s (spikes at 100×)\n", burstRate)
-	}
-	return serve.ReplayBurst(ctx, c, xs, labels, clients, record, serve.BurstOptions{MeanRate: burstRate})
+	return serve.Replay(ctx, c, xs, opts)
 }
 
 // calibrateBurstRate measures sequential service throughput over a short
@@ -845,11 +845,10 @@ func runReplay(ctx context.Context, spec Spec, loader alchemy.DataLoader, pipe *
 	return runFlatReplay(ctx, svc, pipe, xs, labels, clients)
 }
 
-// runFlatReplay is the single-revision path. It used to go through the
-// deprecated Service.Deploy; it now serves the same runtime behind an
-// anonymous single-revision endpoint (named after the replay itself),
-// keeping the flat report shape — lastReplayReport.endpoint stays nil —
-// so the byte-identity tests keep comparing the two serving paths.
+// runFlatReplay is the single-revision path: the runtime serves behind
+// an anonymous single-revision endpoint (named after the replay itself)
+// with the flat report shape — lastReplayReport.endpoint stays nil — so
+// the byte-identity tests keep comparing the two serving paths.
 func runFlatReplay(ctx context.Context, svc *homunculus.Service, pipe *homunculus.Pipeline, xs [][]float64, labels []int, clients int) error {
 	ep, err := svc.CreateEndpointPipeline("replay", pipe, replayEndpointOptions())
 	if err != nil {

@@ -2,7 +2,7 @@ package homunculus
 
 // The canonical serving-config surface: ServingConfig is the one
 // artifact that names every serving knob — replacing the flat fields
-// scattered across DeployOptions, the wire JSON and the CLI flags —
+// scattered across EndpointOptions, the wire JSON and the CLI flags —
 // and the unit the tuner emits, the manifest persists, and
 // `PUT /v1/endpoints/{name}/config` applies. See docs/tuning.md.
 
@@ -29,11 +29,11 @@ func ParseServingConfig(data []byte) (ServingConfig, error) {
 	return serve.ParseConfig(data)
 }
 
-// servingOptions resolves a deploy/create request's runtime bounds:
+// servingOptions resolves a create request's runtime bounds:
 // the canonical Serving config wins wholesale when present (the flat
 // legacy knobs are ignored); otherwise the flat knobs apply with their
 // historical zero-means-default semantics.
-func servingOptions(o DeployOptions) (serve.Options, error) {
+func servingOptions(o EndpointOptions) (serve.Options, error) {
 	if o.Serving != nil {
 		if err := o.Serving.Validate(); err != nil {
 			return serve.Options{}, err
@@ -50,13 +50,13 @@ func servingOptions(o DeployOptions) (serve.Options, error) {
 }
 
 // validateRollouts resolves the rollout-validation gate of a request.
-func validateRollouts(o DeployOptions) bool {
+func validateRollouts(o EndpointOptions) bool {
 	return o.ValidateRollouts || (o.Serving != nil && o.Serving.ValidateRollouts)
 }
 
 // servingRecord persists the requested bounds (zero fields stay zero —
 // defaults are re-derived on restore).
-func servingRecord(o DeployOptions) store.OptionsRecord {
+func servingRecord(o EndpointOptions) store.OptionsRecord {
 	if o.Serving == nil {
 		r := optionsRecord(o)
 		return r

@@ -1,7 +1,7 @@
 package homunculus
 
-// Tests for the canonical ServingConfig surface of the Go API: deploy
-// and endpoint creation through DeployOptions.Serving, the
+// Tests for the canonical ServingConfig surface of the Go API: endpoint
+// creation (by job and by pipeline) through EndpointOptions.Serving, the
 // GET-edit-PUT-equivalent ApplyConfig path, validation failure shapes,
 // durable persistence of presence-aware fields (explicit greedy flush,
 // adaptive flush) across restart, and the Service-level tuner.
@@ -82,7 +82,8 @@ func TestServingConfigEndpointLifecycle(t *testing.T) {
 }
 
 // TestServingConfigValidationOnCreate: invalid Serving documents are
-// rejected up front on both the deploy and endpoint-create paths.
+// rejected up front on both the job and the pipeline endpoint-create
+// paths.
 func TestServingConfigValidationOnCreate(t *testing.T) {
 	svc, job1, _ := endpointService(t)
 	bad := &ServingConfig{Version: 7, QueueDepth: -3}
@@ -100,8 +101,8 @@ func TestServingConfigValidationOnCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.DeployPipeline(pipe, DeployOptions{Serving: bad}); !errors.As(err, &ce) {
-		t.Fatalf("deploy with bad config: %v", err)
+	if _, err := svc.CreateEndpointPipeline("bad-cfg-pipe", pipe, EndpointOptions{Serving: bad}); !errors.As(err, &ce) {
+		t.Fatalf("create pipeline endpoint with bad config: %v", err)
 	}
 }
 

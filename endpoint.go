@@ -1,18 +1,16 @@
 package homunculus
 
-// Endpoint is the lifecycle-aware serving handle: a stable named route
-// (e.g. "anomaly-detection") owning an ordered history of revisions,
-// each a compiled pipeline's prepared inference runtime. Where a
-// Deployment serves exactly one compiled model for its whole life, an
-// Endpoint is what the paper's continuous-recompilation story needs in
-// production: ship a re-compiled pipeline behind the same name with a
-// deterministic canary slice or an off-the-record shadow mirror, watch
-// the per-revision stats and divergence report, then Promote — one
-// atomic routing-table swap, in-flight requests finish on the revision
-// that admitted them, nothing is dropped — or Rollback to the previous
-// revision, which stays warm. The flat Deploy/Deployment API remains as
-// a thin single-revision wrapper (see docs/serving.md for the
-// deprecation plan).
+// Endpoint is the serving handle: a stable named route (e.g.
+// "anomaly-detection") owning an ordered history of revisions, each a
+// compiled pipeline's prepared inference runtime. It is what the paper's
+// continuous-recompilation story needs in production: ship a
+// re-compiled pipeline behind the same name with a deterministic canary
+// slice or an off-the-record shadow mirror, watch the per-revision stats
+// and divergence report, then Promote — one atomic routing-table swap,
+// in-flight requests finish on the revision that admitted them, nothing
+// is dropped — or Rollback to the previous revision, which stays warm.
+// Endpoints are the only way to serve a compiled pipeline
+// (docs/serving.md).
 
 import (
 	"errors"
@@ -39,8 +37,14 @@ var (
 	// abort nor a previous stable revision to return to.
 	ErrNoRollback = serve.ErrNoRollback
 	// ErrEndpointClosed rejects requests to an endpoint that is draining
-	// or deleted (the same sentinel as ErrDeploymentClosed).
+	// or deleted.
 	ErrEndpointClosed = serve.ErrClosed
+	// ErrOverloaded sheds a classify request because the endpoint's
+	// bounded intake queue is full — back off and retry (HTTP 429).
+	ErrOverloaded = serve.ErrOverloaded
+	// ErrNotDeployable rejects serving a pipeline (or app) that carries
+	// no compiled model.
+	ErrNotDeployable = errors.New("homunculus: pipeline has no deployable model")
 	// ErrValidationFailed (validation.go) refuses creating or rolling out
 	// a revision whose shipped artifact fails translation validation on a
 	// ValidateRollouts endpoint.
@@ -55,9 +59,47 @@ type RevisionState = serve.RevisionState
 // per-class-pair confusion matrix.
 type ShadowDivergence = serve.DivergenceStats
 
-// EndpointOptions tunes an endpoint's default serving runtime — the same
-// knobs as a flat deployment; rollouts may override them per revision.
-type EndpointOptions = DeployOptions
+// DeploymentStats is a point-in-time snapshot of an endpoint's (or one
+// revision's) serving metrics: throughput, latency quantiles, per-class
+// counts, drops.
+type DeploymentStats = serve.Stats
+
+// EndpointOptions tunes an endpoint's default serving runtime; rollouts
+// may override it per revision. Zero values select defaults (see
+// internal/serve and docs/serving.md).
+type EndpointOptions struct {
+	// App selects which compiled application of a multi-model pipeline
+	// to serve. Empty selects the first app with a deployable model.
+	App string
+	// Shards is the number of inference workers (default: the shared
+	// worker pool's size, i.e. GOMAXPROCS).
+	Shards int
+	// BatchSize is the micro-batcher's flush threshold (default 64).
+	BatchSize int
+	// MaxDelay bounds how long a request may wait for its batch to fill
+	// (default 500µs; negative = greedy flush).
+	MaxDelay time.Duration
+	// QueueDepth bounds the intake queue; requests beyond it shed with
+	// ErrOverloaded (default 1024).
+	QueueDepth int
+	// RetainRetired caps how many retired revisions the endpoint keeps
+	// warm for instant rollback (default 2; negative keeps all).
+	RetainRetired int
+	// ValidateRollouts gates every revision behind translation
+	// validation: the shipped artifact text is interpreted and
+	// differentially checked against the model's IR reference before it
+	// may serve, and a diverging (or unparseable) artifact is refused
+	// with ErrValidationFailed (docs/validation.md).
+	ValidateRollouts bool
+	// Serving, when non-nil, is the canonical versioned serving
+	// configuration — the same document the tuner emits and
+	// PUT /v1/endpoints/{name}/config applies. It wins wholesale over
+	// the flat Shards/BatchSize/MaxDelay/QueueDepth/RetainRetired knobs
+	// above (which remain for compatibility) and is validated up front,
+	// so an out-of-range value fails the create with every violation
+	// listed instead of being silently clamped.
+	Serving *ServingConfig
+}
 
 // RolloutOptions shapes how a new revision receives traffic.
 type RolloutOptions struct {
@@ -132,7 +174,7 @@ type Endpoint struct {
 	ep       *serve.Endpoint
 
 	// validate gates every revision behind translation validation of its
-	// shipped artifact (DeployOptions.ValidateRollouts).
+	// shipped artifact (EndpointOptions.ValidateRollouts).
 	validate bool
 
 	// reqOpts are the creation-time options as requested (zero fields =
@@ -158,9 +200,9 @@ type revisionMeta struct {
 	opts store.OptionsRecord
 }
 
-// optionsRecord renders requested deploy options in their persisted
+// optionsRecord renders requested endpoint options in their persisted
 // form (zero fields stay zero — defaults are re-derived on restore).
-func optionsRecord(o DeployOptions) store.OptionsRecord {
+func optionsRecord(o EndpointOptions) store.OptionsRecord {
 	return store.OptionsRecord{
 		Shards:           o.Shards,
 		BatchSize:        o.BatchSize,
@@ -425,7 +467,7 @@ func (e *Endpoint) rollout(pipe *Pipeline, jobID string, opts RolloutOptions) (R
 		MaxDelay:   opts.MaxDelay,
 		QueueDepth: opts.QueueDepth,
 	}
-	rrec := optionsRecord(DeployOptions{
+	rrec := optionsRecord(EndpointOptions{
 		Shards: opts.Shards, BatchSize: opts.BatchSize,
 		MaxDelay: opts.MaxDelay, QueueDepth: opts.QueueDepth,
 	})

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/alchemy"
+	"repro/internal/ir"
+	"repro/internal/serve"
 )
 
 // endpointService compiles two distinct dtree pipelines (different data
@@ -34,6 +36,21 @@ func endpointService(t *testing.T) (*Service, *Job, *Job) {
 	return svc, submit(21), submit(33)
 }
 
+// stableModel returns the compiled model a finished job's endpoint
+// serves (the pipeline's first deployable app).
+func stableModel(t *testing.T, svc *Service, job *Job) *ir.Model {
+	t.Helper()
+	pipe, err := svc.jobPipeline(job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := selectApp(pipe, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app.Model
+}
+
 // TestEndpointLifecycleService walks the whole Go-API lifecycle: create
 // a named endpoint from a finished job, serve, roll out a second job as
 // a canary, watch both revisions serve, promote, roll back, delete.
@@ -55,14 +72,26 @@ func TestEndpointLifecycleService(t *testing.T) {
 		t.Fatalf("Endpoints listing: %v", all)
 	}
 
+	// Replay the model's own synthetic test split as live traffic: every
+	// request is delivered, the answers track the labels, and the stats
+	// account for all of it with a nonzero p99.
 	data, err := sampleLoader(21).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range data.TestX[:32] {
-		if _, err := ep.Classify(x); err != nil {
-			t.Fatal(err)
-		}
+	res, err := serve.Replay(context.Background(), ep, data.TestX, serve.ReplayOptions{Labels: data.TestY, Clients: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != len(data.TestX) || res.Dropped != 0 {
+		t.Fatalf("replay must deliver the whole trace: %+v", res)
+	}
+	if res.Accuracy < 0.8 {
+		t.Fatalf("served accuracy %v implausibly low vs labels", res.Accuracy)
+	}
+	if st := ep.Stats().Merged; st.Completed < uint64(len(data.TestX)) || st.P99 == 0 ||
+		st.PerClass[0]+st.PerClass[1] != st.Completed-st.Errors {
+		t.Fatalf("stats must cover the replay, with nonzero p99 and per-class counts partitioning completions: %+v", st)
 	}
 
 	// Canary rollout of the second compiled pipeline.
@@ -142,16 +171,14 @@ func TestEndpointShadowRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference answers from the flat single-revision path.
-	dep, err := svc.Deploy(job1.ID(), DeployOptions{MaxDelay: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reference answers from the bit-accurate quantized executor of the
+	// stable revision's model.
+	ref := stableModel(t, svc, job1)
 	if _, err := ep.Rollout(job2.ID(), RolloutOptions{Shadow: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range data.TestX {
-		want, err := dep.Classify(x)
+		want, err := ref.InferQ(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,13 +275,11 @@ func TestEndpointConcurrentHotSwap(t *testing.T) {
 }
 
 // TestEndpointCanaryZeroMatchesFlat: a 0% canary rollout must leave the
-// served classifications bit-identical to the flat deployment path.
+// served classifications bit-identical to the stable model's quantized
+// executor (ir.Model.InferQ).
 func TestEndpointCanaryZeroMatchesFlat(t *testing.T) {
 	svc, job1, job2 := endpointService(t)
-	dep, err := svc.Deploy(job1.ID(), DeployOptions{MaxDelay: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := stableModel(t, svc, job1)
 	ep, err := svc.CreateEndpoint("frozen", job1.ID(), EndpointOptions{MaxDelay: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +292,7 @@ func TestEndpointCanaryZeroMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, x := range data.TestX {
-		want, err := dep.Classify(x)
+		want, err := ref.InferQ(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +301,7 @@ func TestEndpointCanaryZeroMatchesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("sample %d: endpoint(0%% canary)=%d, flat deployment=%d", i, got, want)
+			t.Fatalf("sample %d: endpoint(0%% canary)=%d, InferQ=%d", i, got, want)
 		}
 	}
 	st := ep.Stats()
@@ -302,8 +327,74 @@ func TestEndpointValidation(t *testing.T) {
 	if _, err := svc.CreateEndpoint("nojob", "job-999999", EndpointOptions{}); err == nil {
 		t.Fatal("unknown job must be rejected")
 	}
+	if _, err := svc.CreateEndpoint("noapp", job1.ID(), EndpointOptions{App: "nope"}); err == nil {
+		t.Fatal("unknown app must be rejected")
+	}
 	if _, err := svc.CreateEndpointPipeline("nopipe", nil, EndpointOptions{}); !errors.Is(err, ErrNotDeployable) {
 		t.Fatalf("nil pipeline: %v", err)
+	}
+	empty := &Pipeline{Platform: "taurus", Apps: []AppResult{{Name: "empty"}}}
+	if _, err := svc.CreateEndpointPipeline("nomodel", empty, EndpointOptions{}); !errors.Is(err, ErrNotDeployable) {
+		t.Fatalf("modelless pipeline: %v", err)
+	}
+
+	// A still-running job cannot back an endpoint.
+	started, release := make(chan struct{}), make(chan struct{})
+	blocked := alchemy.Taurus()
+	blocked.Schedule(alchemy.NewModel(alchemy.ModelSpec{
+		Name: "slow", Algorithms: []string{"dtree"},
+		DataLoader: blockingLoader(5, started, release)}))
+	slow, err := svc.Submit(context.Background(), blocked, WithSearchConfig(fastConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := svc.CreateEndpoint("running", slow.ID(), EndpointOptions{}); !errors.Is(err, ErrJobNotFinished) {
+		t.Fatalf("running job: %v, want ErrJobNotFinished", err)
+	}
+	close(release)
+	if _, err := slow.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// A pipeline compiled out of band serves without a job, on the
+	// defaulted runtime bounds.
+	pipe, err := svc.jobPipeline(job1.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := svc.CreateEndpointPipeline("direct", pipe, EndpointOptions{MaxDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revs := direct.Revisions(); len(revs) != 1 || revs[0].JobID != "" {
+		t.Fatalf("pipeline endpoint must have no job: %+v", revs)
+	}
+	if _, err := direct.Classify([]float64{0.5, -0.5, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if cfg := direct.Config(); cfg.Shards < 1 || cfg.BatchSize != 64 || cfg.QueueDepth != 1024 || cfg.RetainRetired != 2 {
+		t.Fatalf("defaulted config: %+v", cfg)
+	}
+
+	// Closing an endpoint directly (not via DeleteEndpoint) deregisters
+	// it: it is neither found nor listed, and deleting it then misses.
+	if err := direct.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.Endpoint("direct"); ok {
+		t.Fatal("directly closed endpoint must be deregistered")
+	}
+	for _, e := range svc.Endpoints() {
+		if e == direct {
+			t.Fatal("directly closed endpoint must not be listed")
+		}
+	}
+	if err := direct.Close(); err != nil {
+		t.Fatal("Close must be idempotent:", err)
+	}
+	if _, err := svc.DeleteEndpoint("direct"); err == nil {
+		t.Fatal("delete of a closed-and-deregistered endpoint must error")
 	}
 	ep, _ := svc.Endpoint("dup")
 	if _, err := ep.Rollout("job-999999", RolloutOptions{}); err == nil {
@@ -325,8 +416,8 @@ func TestEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestServiceCloseDrainsEndpoints: Close must drain endpoints alongside
-// deployments so accepted traffic is never lost at shutdown.
+// TestServiceCloseDrainsEndpoints: Close must drain endpoints so
+// accepted traffic is never lost at shutdown, and refuse new ones.
 func TestServiceCloseDrainsEndpoints(t *testing.T) {
 	svc, job1, _ := endpointService(t)
 	ep, err := svc.CreateEndpoint("closing", job1.ID(), EndpointOptions{MaxDelay: -1})

@@ -147,13 +147,13 @@ func TestEndToEndADOnTaurus(t *testing.T) {
 		t.Fatal("generated code malformed")
 	}
 
-	// Serve the compiled pipeline on live traffic: deploy through the
-	// service, replay fresh synthetic samples, and require the served
-	// answers to match the bit-accurate quantized executor with stats
-	// accounting for every request.
+	// Serve the compiled pipeline on live traffic: create an endpoint
+	// on the service, replay fresh synthetic samples, and require the
+	// served answers to match the bit-accurate quantized executor with
+	// stats accounting for every request.
 	svc := New(ServiceOptions{})
 	defer svc.Close()
-	dep, err := svc.DeployPipeline(pipe, DeployOptions{BatchSize: 16, MaxDelay: time.Millisecond})
+	ep, err := svc.CreateEndpointPipeline("ad", pipe, EndpointOptions{BatchSize: 16, MaxDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestEndToEndADOnTaurus(t *testing.T) {
 	for i := range rows {
 		rows[i] = probe.X.Row(i)
 	}
-	classes, dropped, err := dep.ClassifyBatch(rows)
+	classes, dropped, err := ep.ClassifyBatch(rows)
 	if err != nil || dropped != 0 {
 		t.Fatalf("serve replay: err=%v dropped=%d", err, dropped)
 	}
@@ -171,7 +171,7 @@ func TestEndToEndADOnTaurus(t *testing.T) {
 			t.Fatalf("served class %d diverges from InferQ at %d", c, i)
 		}
 	}
-	if st := dep.Stats(); st.Completed < uint64(probe.Len()) || st.P99 == 0 {
+	if st := ep.Stats().Merged; st.Completed < uint64(probe.Len()) || st.P99 == 0 {
 		t.Fatalf("serving stats must cover the replay with nonzero p99: %+v", st)
 	}
 }

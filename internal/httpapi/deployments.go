@@ -7,8 +7,7 @@ package httpapi
 // name through the endpoint table. The wire shapes are unchanged, so
 // existing clients keep working — but the deployments they create are
 // real endpoints: they show up under /v1/endpoints, can be rolled out
-// to, and (on a durable daemon) survive restarts, which the retired
-// flat Deploy runtime never did (docs/serving.md):
+// to, and (on a durable daemon) survive restarts (docs/serving.md):
 //
 //	POST   /v1/deployments                 deploy a finished job's pipeline
 //	GET    /v1/deployments                 list flat-named deployments
@@ -267,7 +266,7 @@ func writeClassifyResponse(w http.ResponseWriter, classes []int, dropped int, er
 		resp.Error = err.Error()
 	}
 	switch {
-	case errors.Is(err, homunculus.ErrDeploymentClosed):
+	case errors.Is(err, homunculus.ErrEndpointClosed):
 		writeJSON(w, http.StatusConflict, resp)
 	case dropped == batchLen:
 		writeRetryAfter(w)

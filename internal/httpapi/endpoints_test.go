@@ -357,7 +357,7 @@ func TestClassifyShedRetryAfter(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	writeClassifyResponse(rec, fullyShed, 2, homunculus.ErrDeploymentClosed, 2)
+	writeClassifyResponse(rec, fullyShed, 2, homunculus.ErrEndpointClosed, 2)
 	if rec.Code != http.StatusConflict || rec.Header().Get("Retry-After") != "" {
 		t.Fatalf("closed target: status %d Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 	}

@@ -793,19 +793,20 @@ func (e *Endpoint) Stats() EndpointStats {
 	e.mu.Unlock()
 
 	out := EndpointStats{Name: e.name}
-	var acc statsAccum
+	var merged RawStats
 	for i, r := range revs {
 		var st Stats
 		if rts[i] != nil {
 			st = rts[i].Stats()
-			rts[i].stats.accumulate(&acc)
+			rts[i].stats.accumulate(&merged)
 		}
 		out.Revisions = append(out.Revisions, RevisionStats{
 			ID: r.ID, State: states[i], Created: r.Created,
 			CanaryPercent: pcts[i], Warm: rts[i] != nil, Stats: st,
 		})
 	}
-	out.Merged = acc.snapshot(time.Since(e.start))
+	merged.UptimeNS = int64(time.Since(e.start))
+	out.Merged = merged.Stats()
 	if shadow != nil {
 		out.Shadow = shadow.snapshot()
 	}

@@ -1,6 +1,6 @@
 package serve
 
-// RawStats is the wire form of the summed-histogram accumulator: plain
+// RawStats is the summed-histogram accumulator and its wire form: plain
 // counters plus the log2 latency histogram, JSON-shaped so nodes can
 // ship their per-endpoint tallies across the cluster and merge them
 // exactly. Counters sum; quantiles are derived only after merging, over
@@ -31,32 +31,6 @@ type RawStats struct {
 	// UptimeNS is the source deployment's uptime. Merge keeps the max:
 	// cluster throughput is completed work over the longest window.
 	UptimeNS int64 `json:"uptime_ns"`
-}
-
-// rawFromAccum renders an accumulator as wire stats.
-func rawFromAccum(acc *statsAccum, uptime time.Duration) RawStats {
-	out := RawStats{
-		Accepted:        acc.accepted,
-		Completed:       acc.completed,
-		Dropped:         acc.dropped,
-		Errors:          acc.errors,
-		Batches:         acc.batches,
-		Batched:         acc.batched,
-		FullFlushes:     acc.fullFlushes,
-		DeadlineFlushes: acc.deadlineFlushes,
-		PerClass:        append([]uint64(nil), acc.perClass...),
-		UptimeNS:        int64(uptime),
-	}
-	last := -1
-	for i, c := range acc.latency {
-		if c != 0 {
-			last = i
-		}
-	}
-	if last >= 0 {
-		out.Latency = append([]uint64(nil), acc.latency[:last+1]...)
-	}
-	return out
 }
 
 // Merge folds o into r: counters and histograms sum exactly, uptime
@@ -140,9 +114,20 @@ func (e *Endpoint) RawStats() RawStats {
 	start := e.start
 	e.mu.Unlock()
 
-	var acc statsAccum
+	var r RawStats
 	for _, rt := range rts {
-		rt.stats.accumulate(&acc)
+		rt.stats.accumulate(&r)
 	}
-	return rawFromAccum(&acc, time.Since(start))
+	r.UptimeNS = int64(time.Since(start))
+	// Trim trailing zero buckets for the wire; an empty histogram is nil.
+	last := len(r.Latency)
+	for last > 0 && r.Latency[last-1] == 0 {
+		last--
+	}
+	if last == 0 {
+		r.Latency = nil
+	} else {
+		r.Latency = r.Latency[:last]
+	}
+	return r
 }

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -119,5 +120,56 @@ func TestEndpointRawStatsMatchesStats(t *testing.T) {
 	}
 	if derived.P99 != direct.P99 {
 		t.Fatalf("raw-derived p99 %v vs direct %v", derived.P99, direct.P99)
+	}
+	// Apart from the clock-derived fields, the two views agree field for
+	// field, and the wire histogram ends on a nonzero bucket.
+	derived.Uptime, derived.Throughput = 0, 0
+	direct.Uptime, direct.Throughput = 0, 0
+	if !reflect.DeepEqual(derived, direct) {
+		t.Fatalf("raw-derived %+v vs direct %+v", derived, direct)
+	}
+	if n := len(raw.Latency); n == 0 || raw.Latency[n-1] == 0 {
+		t.Fatalf("wire histogram must be trimmed to its last nonzero bucket: %v", raw.Latency)
+	}
+	if idle := mustEndpoint(t, 0, Options{}).RawStats(); idle.Latency != nil || idle.PerClass == nil {
+		t.Fatalf("idle endpoint wire stats: %+v", idle)
+	}
+}
+
+// TestStatsSnapshotFields pins every field a runtime snapshot derives
+// from its live counters.
+func TestStatsSnapshotFields(t *testing.T) {
+	var s stats
+	s.init(3)
+	s.accepted.Store(12)
+	s.completed.Store(10)
+	s.dropped.Store(2)
+	s.errors.Store(1)
+	s.batches.Store(4)
+	s.batched.Store(10)
+	s.fullFlushes.Store(1)
+	s.deadlineFlushes.Store(2)
+	s.perClass[0].Store(4)
+	s.perClass[2].Store(5)
+	s.latency[3].Store(9)
+	s.latency[10].Store(1)
+	st := s.snapshot()
+	if st.Uptime <= 0 || st.Throughput != 10/st.Uptime.Seconds() {
+		t.Fatalf("uptime %v, throughput %v", st.Uptime, st.Throughput)
+	}
+	st.Uptime, st.Throughput = 0, 0
+	want := Stats{
+		Accepted: 12, Completed: 10, Dropped: 2, Errors: 1,
+		PerClass: []uint64{4, 0, 5},
+		Batches:  4, FullFlushes: 1, DeadlineFlushes: 2, MeanBatch: 2.5,
+		P50: 8 * time.Nanosecond, P99: 1024 * time.Nanosecond,
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("snapshot %+v, want %+v", st, want)
+	}
+	var empty stats
+	empty.init(0)
+	if st := empty.snapshot(); st.PerClass == nil || len(st.PerClass) != 0 || st.P99 != 0 {
+		t.Fatalf("empty snapshot: %+v", st)
 	}
 }

@@ -1,11 +1,12 @@
 package serve
 
-// Replay drives a recorded traffic trace through a live deployment the
+// Replay drives a recorded traffic trace through a live endpoint the
 // way the CLI's -replay mode does: N concurrent clients issue the
-// trace's feature vectors as fast as the runtime admits them, and the
-// result reports the achieved rate plus accuracy against the trace's
-// ground-truth labels. Sheds are counted, not retried — the replayer
-// measures the deployment's real admission behaviour under offered load.
+// trace's feature vectors — as fast as the runtime admits them (closed
+// loop) or on a bursty open-loop schedule — and the result reports the
+// achieved rate plus accuracy against the trace's ground-truth labels.
+// Sheds are counted, not retried — the replayer measures the runtime's
+// real admission behaviour under offered load.
 
 import (
 	"context"
@@ -17,8 +18,8 @@ import (
 )
 
 // Classifier is the serving interface a replay drives: the Runtime, the
-// root package's Deployment handle, and internal/stream's model adapters
-// all satisfy it.
+// serve and root-package Endpoint handles, and internal/stream's model
+// adapters all satisfy it.
 type Classifier interface {
 	Classify(x []float64) (int, error)
 }
@@ -40,103 +41,12 @@ type ReplayResult struct {
 	// Accuracy is Correct/Delivered (0 when nothing was delivered or the
 	// trace carries no labels).
 	Accuracy float64
-	// OfferedRate is issued requests per second — set only by
-	// ReplayBurst, where issuance is paced rather than service-bound.
+	// OfferedRate is issued requests per second — set only by a burst
+	// replay, where issuance is paced rather than service-bound.
 	OfferedRate float64
 }
 
-// Replay streams xs through c from `clients` concurrent goroutines.
-// labels may be nil (accuracy is then not computed); otherwise it must
-// be parallel to xs. Requests shed with ErrOverloaded are counted and
-// skipped; any other classification error counts in Errors.
-func Replay(c Classifier, xs [][]float64, labels []int, clients int) (ReplayResult, error) {
-	return ReplayRun(context.Background(), c, xs, labels, clients, nil)
-}
-
-// ReplayRun is Replay with interruption and recording: when ctx is
-// cancelled the clients stop issuing new requests (requests already
-// issued still deliver — graceful drain, not abandonment), and when
-// record is non-nil (len(xs), pre-filled by the caller) the class of
-// sample i is stored at record[i] (-1 for shed or failed requests) so a
-// fixed-seed replay's output can be compared byte-for-byte across
-// serving paths.
-func ReplayRun(ctx context.Context, c Classifier, xs [][]float64, labels []int, clients int, record []int) (ReplayResult, error) {
-	if c == nil {
-		return ReplayResult{}, fmt.Errorf("serve: replay needs a classifier")
-	}
-	if labels != nil && len(labels) != len(xs) {
-		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d labels", len(xs), len(labels))
-	}
-	if record != nil && len(record) != len(xs) {
-		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d record slots", len(xs), len(record))
-	}
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > len(xs) {
-		clients = len(xs)
-	}
-	var cursor atomic.Int64
-	var issued, delivered, dropped, errs, correct atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for w := 0; w < clients; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1) - 1)
-				if i >= len(xs) {
-					return
-				}
-				issued.Add(1)
-				class, err := c.Classify(xs[i])
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					dropped.Add(1)
-					if record != nil {
-						record[i] = -1
-					}
-				case err != nil:
-					errs.Add(1)
-					if record != nil {
-						record[i] = -1
-					}
-				default:
-					delivered.Add(1)
-					if record != nil {
-						record[i] = class
-					}
-					if labels != nil && class == labels[i] {
-						correct.Add(1)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	res := ReplayResult{
-		Requests:  len(xs),
-		Issued:    int(issued.Load()),
-		Delivered: int(delivered.Load()),
-		Dropped:   int(dropped.Load()),
-		Errors:    int(errs.Load()),
-		Correct:   int(correct.Load()),
-		Elapsed:   time.Since(start),
-	}
-	if res.Elapsed > 0 {
-		res.Rate = float64(res.Delivered) / res.Elapsed.Seconds()
-	}
-	if res.Delivered > 0 && labels != nil {
-		res.Accuracy = float64(res.Correct) / float64(res.Delivered)
-	}
-	return res, nil
-}
-
-// BurstOptions shapes ReplayBurst's offered load: a baseline arrival
+// BurstOptions shapes a burst replay's offered load: a baseline arrival
 // rate with periodic spikes at Factor× the mean, the volumetric-burst
 // workload that exercises the ring scheduler's shed-at-the-door
 // backpressure.
@@ -173,20 +83,42 @@ func (o BurstOptions) baseRate() float64 {
 	return o.MeanRate / (1 + duty*(o.Factor-1))
 }
 
-// ReplayBurst replays xs like ReplayRun but paces issuance with a token
-// bucket whose fill rate alternates between the quiet baseline and
-// Factor× bursts: offered-load spikes arrive regardless of whether the
-// deployment keeps up, so sheds measure real backpressure rather than a
-// closed-loop client backing off. The pacer refills on a coarse tick —
-// a whole burst window's tokens land in a couple of clumps, which is
-// exactly the concurrent-arrival pattern that overflows a slot ring.
-// Sheds are counted, not retried. Delivered results still verify
-// against labels/record the same way ReplayRun's do.
-func ReplayBurst(ctx context.Context, c Classifier, xs [][]float64, labels []int, clients int, record []int, opts BurstOptions) (ReplayResult, error) {
+// ReplayOptions shapes one Replay.
+type ReplayOptions struct {
+	// Labels, when non-nil, must be parallel to the trace; delivered
+	// classifications are scored against it. Nil skips accuracy.
+	Labels []int
+	// Clients is the number of concurrent issuing goroutines (at least
+	// 1, at most the trace length).
+	Clients int
+	// Record, when non-nil, must be parallel to the trace (pre-filled by
+	// the caller): the class of sample i is stored at Record[i] (-1 for
+	// shed or failed requests) so a fixed-seed replay's output can be
+	// compared byte-for-byte across serving paths.
+	Record []int
+	// Burst, when non-nil, paces issuance open loop: a token bucket whose
+	// fill rate alternates between the quiet baseline and Factor×
+	// bursts, so offered-load spikes arrive regardless of whether the
+	// runtime keeps up and sheds measure real backpressure rather than a
+	// closed-loop client backing off. The pacer refills on a coarse tick
+	// — a whole burst window's tokens land in a couple of clumps, which
+	// is exactly the concurrent-arrival pattern that overflows a slot
+	// ring. Nil replays closed loop: each client issues its next sample
+	// as soon as the previous one returns.
+	Burst *BurstOptions
+}
+
+// Replay streams xs through c from opts.Clients concurrent goroutines.
+// Requests shed with ErrOverloaded are counted in Dropped and skipped;
+// any other classification error counts in Errors. When ctx is
+// cancelled the clients stop issuing new requests, but requests already
+// issued still deliver — graceful drain, not abandonment.
+func Replay(ctx context.Context, c Classifier, xs [][]float64, opts ReplayOptions) (ReplayResult, error) {
+	labels, record := opts.Labels, opts.Record
 	if c == nil {
 		return ReplayResult{}, fmt.Errorf("serve: replay needs a classifier")
 	}
-	if opts.MeanRate <= 0 {
+	if opts.Burst != nil && opts.Burst.MeanRate <= 0 {
 		return ReplayResult{}, fmt.Errorf("serve: burst replay needs a positive mean rate")
 	}
 	if labels != nil && len(labels) != len(xs) {
@@ -195,20 +127,93 @@ func ReplayBurst(ctx context.Context, c Classifier, xs [][]float64, labels []int
 	if record != nil && len(record) != len(xs) {
 		return ReplayResult{}, fmt.Errorf("serve: replay trace has %d samples but %d record slots", len(xs), len(record))
 	}
+	clients := opts.Clients
 	if clients < 1 {
 		clients = 1
 	}
 	if clients > len(xs) {
 		clients = len(xs)
 	}
-	o := opts.withDefaults()
-	base := o.baseRate()
 
-	// The pacer releases sample indices into a buffered arrival queue on
-	// the offered-load schedule; clients drain it. The queue is sized for
-	// the whole trace so the pacer never blocks — arrivals are
-	// independent of service.
-	arrivals := make(chan int, len(xs))
+	// next hands out the trace index a client issues next: a shared
+	// cursor in closed loop, the pacer's arrival queue in burst mode.
+	var next func() (int, bool)
+	if opts.Burst == nil {
+		var cursor atomic.Int64
+		next = func() (int, bool) {
+			i := int(cursor.Add(1) - 1)
+			return i, i < len(xs)
+		}
+	} else {
+		arrivals := pace(ctx, len(xs), opts.Burst.withDefaults())
+		next = func() (int, bool) {
+			i, ok := <-arrivals
+			return i, ok
+		}
+	}
+
+	var issued, delivered, dropped, errs, correct atomic.Int64
+	start := time.Now()
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for w := 0; w < clients; w++ {
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i, ok := next()
+				if !ok {
+					return
+				}
+				issued.Add(1)
+				class, err := c.Classify(xs[i])
+				switch {
+				case errors.Is(err, ErrOverloaded):
+					dropped.Add(1)
+					class = -1
+				case err != nil:
+					errs.Add(1)
+					class = -1
+				default:
+					delivered.Add(1)
+					if labels != nil && class == labels[i] {
+						correct.Add(1)
+					}
+				}
+				if record != nil {
+					record[i] = class
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	res := ReplayResult{
+		Requests:  len(xs),
+		Issued:    int(issued.Load()),
+		Delivered: int(delivered.Load()),
+		Dropped:   int(dropped.Load()),
+		Errors:    int(errs.Load()),
+		Correct:   int(correct.Load()),
+		Elapsed:   time.Since(start),
+	}
+	if res.Elapsed > 0 {
+		res.Rate = float64(res.Delivered) / res.Elapsed.Seconds()
+		if opts.Burst != nil {
+			res.OfferedRate = float64(res.Issued) / res.Elapsed.Seconds()
+		}
+	}
+	if res.Delivered > 0 && labels != nil {
+		res.Accuracy = float64(res.Correct) / float64(res.Delivered)
+	}
+	return res, nil
+}
+
+// pace releases the trace indices 0..n-1 into a buffered arrival queue
+// on o's offered-load schedule and closes it when done (or when ctx is
+// cancelled). The queue is sized for the whole trace so the pacer never
+// blocks — arrivals are independent of service.
+func pace(ctx context.Context, n int, o BurstOptions) <-chan int {
+	base := o.baseRate()
+	arrivals := make(chan int, n)
 	go func() {
 		defer close(arrivals)
 		const tick = 500 * time.Microsecond
@@ -216,7 +221,7 @@ func ReplayBurst(ctx context.Context, c Classifier, xs [][]float64, labels []int
 		released := 0
 		var due float64
 		prev := time.Duration(0)
-		for released < len(xs) {
+		for released < n {
 			if ctx.Err() != nil {
 				return
 			}
@@ -238,65 +243,11 @@ func ReplayBurst(ctx context.Context, c Classifier, xs [][]float64, labels []int
 				due += rate * (segEnd - prev).Seconds()
 				prev = segEnd
 			}
-			for released < len(xs) && float64(released) < due {
+			for released < n && float64(released) < due {
 				arrivals <- released
 				released++
 			}
 		}
 	}()
-
-	var issued, delivered, dropped, errs, correct atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for w := 0; w < clients; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range arrivals {
-				if ctx.Err() != nil {
-					return
-				}
-				issued.Add(1)
-				class, err := c.Classify(xs[i])
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					dropped.Add(1)
-					if record != nil {
-						record[i] = -1
-					}
-				case err != nil:
-					errs.Add(1)
-					if record != nil {
-						record[i] = -1
-					}
-				default:
-					delivered.Add(1)
-					if record != nil {
-						record[i] = class
-					}
-					if labels != nil && class == labels[i] {
-						correct.Add(1)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	res := ReplayResult{
-		Requests:  len(xs),
-		Issued:    int(issued.Load()),
-		Delivered: int(delivered.Load()),
-		Dropped:   int(dropped.Load()),
-		Errors:    int(errs.Load()),
-		Correct:   int(correct.Load()),
-		Elapsed:   time.Since(start),
-	}
-	if res.Elapsed > 0 {
-		res.Rate = float64(res.Delivered) / res.Elapsed.Seconds()
-		res.OfferedRate = float64(res.Issued) / res.Elapsed.Seconds()
-	}
-	if res.Delivered > 0 && labels != nil {
-		res.Accuracy = float64(res.Correct) / float64(res.Delivered)
-	}
-	return res, nil
+	return arrivals
 }

@@ -186,7 +186,7 @@ func New(model *ir.Model, opts Options) (*Runtime, error) {
 	adaptive := o.AdaptiveFlush && o.MaxDelay > 0
 	for i := range rt.rings {
 		// newShard validates the model via ir.NewPredictor, so a broken
-		// model fails at Deploy time, not on the first live request.
+		// model fails at creation time, not on the first live request.
 		sh, err := newShard(model, capacity)
 		if err != nil {
 			return nil, err

@@ -347,7 +347,7 @@ func TestReplay(t *testing.T) {
 			labels[i] = 1
 		}
 	}
-	res, err := Replay(rt, xs, labels, runtime.GOMAXPROCS(0))
+	res, err := Replay(context.Background(), rt, xs, ReplayOptions{Labels: labels, Clients: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +365,13 @@ func TestReplay(t *testing.T) {
 		t.Fatalf("stats completed %d < delivered %d", st.Completed, res.Delivered)
 	}
 
-	if _, err := Replay(nil, xs, labels, 2); err == nil {
+	if _, err := Replay(context.Background(), nil, xs, ReplayOptions{Labels: labels, Clients: 2}); err == nil {
 		t.Fatal("nil classifier must error")
 	}
-	if _, err := Replay(rt, xs, labels[:3], 2); err == nil {
+	if _, err := Replay(context.Background(), rt, xs, ReplayOptions{Labels: labels[:3], Clients: 2}); err == nil {
 		t.Fatal("mismatched labels must error")
 	}
-	if _, err := ReplayRun(context.Background(), rt, xs, labels, 2, make([]int, 3)); err == nil {
+	if _, err := Replay(context.Background(), rt, xs, ReplayOptions{Labels: labels, Clients: 2, Record: make([]int, 3)}); err == nil {
 		t.Fatal("mismatched record must error")
 	}
 }
@@ -382,7 +382,7 @@ func TestReplayRunRecordsClasses(t *testing.T) {
 	rt := mustRuntime(t, stepModel(), Options{BatchSize: 8, MaxDelay: -1})
 	xs := [][]float64{{1, 0}, {-1, 0}, {1, 0}, {-1, 0}}
 	record := []int{-2, -2, -2, -2}
-	res, err := ReplayRun(context.Background(), rt, xs, nil, 2, record)
+	res, err := Replay(context.Background(), rt, xs, ReplayOptions{Clients: 2, Record: record})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +397,10 @@ func TestReplayRunRecordsClasses(t *testing.T) {
 	}
 }
 
-// TestReplayBurst: the open-loop pacer keeps ReplayRun's accounting and
-// recording contract while reporting the offered rate, and its spikes
-// actually shed when they slam a tiny ring guarded by a slow classify.
+// TestReplayBurst: the open-loop pacer keeps the closed loop's
+// accounting and recording contract while reporting the offered rate,
+// and its spikes actually shed when they slam a tiny ring guarded by a
+// slow classify.
 func TestReplayBurst(t *testing.T) {
 	t.Run("accounting", func(t *testing.T) {
 		rt := mustRuntime(t, stepModel(), Options{BatchSize: 8, MaxDelay: -1})
@@ -413,7 +414,7 @@ func TestReplayBurst(t *testing.T) {
 		record := make([]int, n)
 		// A high mean rate: the whole trace is offered almost at once, so
 		// the test measures accounting, not pacing.
-		res, err := ReplayBurst(context.Background(), rt, xs, labels, 4, record, BurstOptions{MeanRate: 1e6})
+		res, err := Replay(context.Background(), rt, xs, ReplayOptions{Labels: labels, Clients: 4, Record: record, Burst: &BurstOptions{MeanRate: 1e6}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +444,7 @@ func TestReplayBurst(t *testing.T) {
 		for i := range xs {
 			xs[i] = []float64{1, 0}
 		}
-		res, err := ReplayBurst(context.Background(), rt, xs, nil, 8, nil, BurstOptions{MeanRate: 1e6})
+		res, err := Replay(context.Background(), rt, xs, ReplayOptions{Clients: 8, Burst: &BurstOptions{MeanRate: 1e6}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,13 +463,13 @@ func TestReplayBurst(t *testing.T) {
 	t.Run("validation", func(t *testing.T) {
 		rt := mustRuntime(t, stepModel(), Options{})
 		xs := [][]float64{{1, 0}}
-		if _, err := ReplayBurst(context.Background(), rt, xs, nil, 1, nil, BurstOptions{}); err == nil {
+		if _, err := Replay(context.Background(), rt, xs, ReplayOptions{Clients: 1, Burst: &BurstOptions{}}); err == nil {
 			t.Fatal("zero mean rate must be rejected")
 		}
-		if _, err := ReplayBurst(context.Background(), nil, xs, nil, 1, nil, BurstOptions{MeanRate: 1}); err == nil {
+		if _, err := Replay(context.Background(), nil, xs, ReplayOptions{Clients: 1, Burst: &BurstOptions{MeanRate: 1}}); err == nil {
 			t.Fatal("nil classifier must be rejected")
 		}
-		if _, err := ReplayBurst(context.Background(), rt, xs, []int{0, 1}, 1, nil, BurstOptions{MeanRate: 1}); err == nil {
+		if _, err := Replay(context.Background(), rt, xs, ReplayOptions{Labels: []int{0, 1}, Clients: 1, Burst: &BurstOptions{MeanRate: 1}}); err == nil {
 			t.Fatal("mismatched labels must be rejected")
 		}
 	})
@@ -503,7 +504,7 @@ func TestReplayRunInterrupted(t *testing.T) {
 		labels[i] = 1
 	}
 	record := make([]int, n)
-	res, err := ReplayRun(ctx, rt, xs, labels, 4, record)
+	res, err := Replay(ctx, rt, xs, ReplayOptions{Labels: labels, Clients: 4, Record: record})
 	if err != nil {
 		t.Fatal(err)
 	}

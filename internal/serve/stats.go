@@ -42,9 +42,11 @@ func (s *stats) init(classes int) {
 }
 
 // flush records one harvest sweep (= one micro-batch). full means the
-// sweep collected at least BatchSize requests. deadline is always false
-// under the ring scheduler — no request ever waits on a batching
-// deadline — but the counter survives for wire compatibility.
+// sweep collected at least BatchSize requests. deadline means a hold
+// expired with work pending (ring.go passes shard.flushDeadline): false
+// under the default greedy flush, possibly true once ServingConfig
+// enables deadline batching (a positive max_delay_ns, or
+// adaptive_flush).
 func (s *stats) flush(size int, deadline, full bool) {
 	s.batches.Add(1)
 	s.batched.Add(uint64(size))
@@ -112,74 +114,42 @@ type Stats struct {
 }
 
 func (s *stats) snapshot() Stats {
-	var acc statsAccum
-	s.accumulate(&acc)
-	return acc.snapshot(time.Since(s.start))
+	var r RawStats
+	s.accumulate(&r)
+	r.UptimeNS = int64(time.Since(s.start))
+	return r.Stats()
 }
 
-// statsAccum sums raw counters and histograms across one or more stats
-// instances, so an endpoint's merged view computes its quantiles over
-// the combined latency histogram instead of averaging per-revision
-// quantiles (which would be meaningless).
-type statsAccum struct {
-	accepted, completed, dropped, errors           uint64
-	batches, batched, fullFlushes, deadlineFlushes uint64
-	perClass                                       []uint64
-	latency                                        [latBuckets]uint64
-}
-
-// accumulate folds this stats instance's live counters into acc.
-func (s *stats) accumulate(acc *statsAccum) {
-	acc.accepted += s.accepted.Load()
-	acc.completed += s.completed.Load()
-	acc.dropped += s.dropped.Load()
-	acc.errors += s.errors.Load()
-	acc.batches += s.batches.Load()
-	acc.batched += s.batched.Load()
-	acc.fullFlushes += s.fullFlushes.Load()
-	acc.deadlineFlushes += s.deadlineFlushes.Load()
-	if len(s.perClass) > len(acc.perClass) {
+// accumulate folds this stats instance's live counters and latency
+// histogram into r, so an endpoint's merged view computes its quantiles
+// over the combined histogram instead of averaging per-revision
+// quantiles (which would be meaningless). r's histogram is left
+// untrimmed at latBuckets entries; uptime is the caller's to set.
+func (s *stats) accumulate(r *RawStats) {
+	r.Accepted += s.accepted.Load()
+	r.Completed += s.completed.Load()
+	r.Dropped += s.dropped.Load()
+	r.Errors += s.errors.Load()
+	r.Batches += s.batches.Load()
+	r.Batched += s.batched.Load()
+	r.FullFlushes += s.fullFlushes.Load()
+	r.DeadlineFlushes += s.deadlineFlushes.Load()
+	if len(s.perClass) > len(r.PerClass) {
 		grown := make([]uint64, len(s.perClass))
-		copy(grown, acc.perClass)
-		acc.perClass = grown
+		copy(grown, r.PerClass)
+		r.PerClass = grown
 	}
 	for i := range s.perClass {
-		acc.perClass[i] += s.perClass[i].Load()
+		r.PerClass[i] += s.perClass[i].Load()
+	}
+	if len(r.Latency) < latBuckets {
+		grown := make([]uint64, latBuckets)
+		copy(grown, r.Latency)
+		r.Latency = grown
 	}
 	for i := range s.latency {
-		acc.latency[i] += s.latency[i].Load()
+		r.Latency[i] += s.latency[i].Load()
 	}
-}
-
-// snapshot renders the accumulated counters as a Stats over uptime.
-func (acc *statsAccum) snapshot(uptime time.Duration) Stats {
-	out := Stats{
-		Accepted:        acc.accepted,
-		Completed:       acc.completed,
-		Dropped:         acc.dropped,
-		Errors:          acc.errors,
-		Batches:         acc.batches,
-		FullFlushes:     acc.fullFlushes,
-		DeadlineFlushes: acc.deadlineFlushes,
-		Uptime:          uptime,
-		PerClass:        append([]uint64(nil), acc.perClass...),
-	}
-	if out.PerClass == nil {
-		out.PerClass = []uint64{}
-	}
-	if out.Batches > 0 {
-		out.MeanBatch = float64(acc.batched) / float64(out.Batches)
-	}
-	if out.Uptime > 0 {
-		out.Throughput = float64(out.Completed) / out.Uptime.Seconds()
-	}
-	var total uint64
-	for _, c := range acc.latency {
-		total += c
-	}
-	out.P50 = quantile(acc.latency[:], total, 0.50)
-	out.P99 = quantile(acc.latency[:], total, 0.99)
-	return out
 }
 
 // quantile returns the upper bound (2^bucket ns) of the histogram bucket

@@ -317,7 +317,7 @@ func ReplayEvaluator(model *ir.Model, xs [][]float64, clients int, burst serve.B
 			return Metrics{}, err
 		}
 		defer rt.Close()
-		res, err := serve.ReplayBurst(ctx, rt, xs, nil, clients, nil, burst)
+		res, err := serve.Replay(ctx, rt, xs, serve.ReplayOptions{Clients: clients, Burst: &burst})
 		if err != nil {
 			return Metrics{}, err
 		}
